@@ -27,10 +27,11 @@ from repro.core.placement import build_hetero_plan
 from repro.ir import make_inputs, run_graph
 from repro.models import build_model
 from repro.runtime import (
+    DispatchKernel,
     ResilienceConfig,
     ResilientExecutor,
     RetryPolicy,
-    ThreadedExecutor,
+    ThreadedWorkers,
 )
 from repro.runtime.faults import (
     DeviceLoss,
@@ -134,12 +135,15 @@ def test_chaos_recovery_correct_and_cheap(machine):
 
     # ------------------------------------------------------------------
     # 3. No-fault overhead of the resilient path.
-    threaded = ThreadedExecutor(plan)
+    def threaded_run():
+        # A fresh kernel per run, as the resilient executor builds one.
+        return DispatchKernel(plan, workers=ThreadedWorkers()).run(feeds)
+
     resilient = ResilientExecutor(plan)
     # Warm both paths (parameter materialization, thread start costs).
-    threaded.run(feeds)
+    threaded_run()
     resilient.run(feeds)
-    t_threaded = _best_of(lambda: threaded.run(feeds), N_REPS)
+    t_threaded = _best_of(threaded_run, N_REPS)
     t_resilient = _best_of(lambda: resilient.run(feeds), N_REPS)
     overhead = t_resilient - t_threaded
 

@@ -18,7 +18,6 @@ per-GPU ``slowdown`` factors for heterogeneous meshes.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import replace
 from typing import Iterable, Mapping
 
@@ -203,27 +202,6 @@ class Machine:
         survivor candidates when ``name`` is lost."""
         self.device(name)  # raise on unknown names
         return tuple(n for n in self.device_names if n != name)
-
-    def other(self, name: str) -> str:
-        """Deprecated: the other device of a 2-device machine.
-
-        .. deprecated::
-            Use :meth:`peers`, which returns every survivor of an
-            N-device mesh.
-        """
-        warnings.warn(
-            "Machine.other() assumes a 2-device machine; use "
-            "Machine.peers(name) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        peers = self.peers(name)
-        if len(peers) != 1:
-            raise DeviceError(
-                f"Machine.other({name!r}) is ambiguous on a "
-                f"{len(self._devices)}-device mesh; use peers()"
-            )
-        return peers[0]
 
     @property
     def host(self) -> str:

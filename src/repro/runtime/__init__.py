@@ -53,13 +53,8 @@ from repro.runtime.simulator import (
     simulate,
     simulate_batch,
 )
-from repro.runtime.single import (
-    SingleDeviceResult,
-    run_single_device,
-    single_device_plan,
-)
+from repro.runtime.single import run_single_device, single_device_plan
 from repro.runtime.stream import StreamResult, simulate_stream
-from repro.runtime.threaded import ThreadedExecutor, ThreadedResult
 
 __all__ = [
     "AbortPolicy",
@@ -83,15 +78,12 @@ __all__ = [
     "RetryMiddleware",
     "RetryPolicy",
     "SessionResult",
-    "SingleDeviceResult",
     "StallFault",
     "TaskDeadlineMiddleware",
     "ThreadedWorkers",
     "TracingMiddleware",
     "TransferFault",
     "TransferGuardMiddleware",
-    "ThreadedExecutor",
-    "ThreadedResult",
     "HeteroPlan",
     "KernelRecord",
     "LatencyStats",

@@ -13,8 +13,8 @@ public execution path be a thin parameterization of it:
   thread per device (``duet-worker-<device>``) with synchronization
   queues, exactly the paper's busy-loop workers; :class:`InlineWorkers`
   executes tasks sequentially on the calling thread in plan (priority)
-  order — the strategy behind single-device runs, the simulator's
-  numeric replay, and :class:`~repro.runtime.session.EngineSession`.
+  order — the strategy behind the simulator's numerics (single-device
+  runs included) and :class:`~repro.runtime.session.EngineSession`.
 * **Policy middleware** — small objects wrapping one task *attempt*
   (``middleware(ctx, call_next)``), composed outermost-first:
   :class:`RetryMiddleware` (backoff + seeded jitter),
@@ -30,12 +30,12 @@ public execution path be a thin parameterization of it:
   device-loss handling (migrate queued work to the survivor, or signal a
   restart on a standing degradation plan).
 
-The public executors (:class:`~repro.runtime.threaded.ThreadedExecutor`,
-:class:`~repro.runtime.resilient.ResilientExecutor`,
-:func:`~repro.runtime.single.run_single_device`, and the numeric replay
-half of :func:`~repro.runtime.simulator.simulate`) are shims over this
-module; their observable behaviour — outputs, placements, event logs,
-error messages — is unchanged.
+:class:`DispatchKernel` is the only numeric executor.  Plain threaded
+execution is ``DispatchKernel(plan, workers=ThreadedWorkers(...))``
+directly; :class:`~repro.runtime.resilient.ResilientExecutor` adds its
+restart-on-survivor logic on top, and the numerics of
+:func:`~repro.runtime.simulator.simulate` (hence of
+:func:`~repro.runtime.single.run_single_device`) are an inline dispatch.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards for type hints
 
 __all__ = [
     "DEVICES",
-    "OTHER_DEVICE",
     "plan_worker_devices",
     "ExecutionEvent",
     "TaskContext",
@@ -92,9 +91,6 @@ __all__ = [
 #: these devices is dispatched across exactly this pair, preserving the
 #: historical worker set (and thread names) even for single-device plans.
 DEVICES = ("cpu", "gpu")
-
-#: The failover partner of each default-machine device.
-OTHER_DEVICE = {"cpu": "gpu", "gpu": "cpu"}
 
 
 def plan_worker_devices(plan: HeteroPlan) -> tuple[str, ...]:
@@ -658,8 +654,8 @@ class RetryMiddleware:
 @dataclass(frozen=True)
 class InlineWorkers:
     """Sequential worker strategy: tasks run on the calling thread in plan
-    (priority) order.  No threads, no queues — the strategy behind
-    single-device execution, the simulator's numeric replay, and
+    (priority) order.  No threads, no queues — the strategy behind the
+    simulator's numerics (single-device runs included) and
     :class:`~repro.runtime.session.EngineSession`."""
 
 

@@ -3,10 +3,11 @@
 A :class:`FaultPlan` declares *what* goes wrong — transient kernel
 failures, latency stalls, transfer corruption/failure, permanent device
 loss — and a :class:`FaultInjector` turns the plan into per-run stateful
-hooks that both real executors (:class:`~repro.runtime.threaded.ThreadedExecutor`,
+hooks that the real executors (the threaded
+:class:`~repro.runtime.core.DispatchKernel`,
 :class:`~repro.runtime.resilient.ResilientExecutor`) and the virtual-time
-simulator (:func:`~repro.runtime.simulator.simulate`) call at well-defined
-points.  All behaviour is a pure function of the plan plus attempt
+simulator (:func:`~repro.runtime.simulator.simulate`) call at
+well-defined points.  All behaviour is a pure function of the plan plus attempt
 counters, so chaos scenarios replay identically run after run: the same
 task attempt fails, the same transfer corrupts, the same device dies.
 
@@ -223,7 +224,7 @@ class FaultInjector:
         self._lost.discard(device)
 
     # ------------------------------------------------------------------
-    # Wall-clock hooks (ThreadedExecutor / ResilientExecutor)
+    # Wall-clock hooks (DispatchKernel / ResilientExecutor)
 
     def on_task_start(self, task_id: str, device: str) -> None:
         """Hook for the start of one execution attempt.

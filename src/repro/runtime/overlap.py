@@ -42,45 +42,20 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.devices.machine import Machine
+from repro.devices.machine import Machine, _pair
 from repro.errors import ExecutionError
 from repro.runtime.plan import HeteroPlan, TaskSpec
+from repro.runtime.simulator import (
+    TaskRecord,
+    TransferRecord,
+    _kernel_durations,
+    _kernel_records,
+    _label,
+    _output_bytes,
+    _transfer_time,
+)
 
-__all__ = ["ReplayTask", "ReplayTransfer", "ReplayResult", "replay_plan"]
-
-#: The default machine's host device: external inputs live here and model
-#: outputs land here.  Meshes override this with ``machine.host``.
-HOST_DEVICE = "cpu"
-
-
-def _pair(a: str, b: str) -> tuple[str, str]:
-    """Canonical key of the (undirected) link between two devices."""
-    return (a, b) if a <= b else (b, a)
-
-
-@dataclass(frozen=True)
-class ReplayTask:
-    """Committed execution of one task instance on the virtual clock."""
-
-    request: int
-    task_id: str
-    device: str
-    start: float
-    finish: float
-    kernel_durations: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class ReplayTransfer:
-    """Committed occupancy of the link by one transfer."""
-
-    request: int
-    what: str  # e.g. "task:rnn[0]" or "external:image"
-    dest_device: str
-    n_bytes: float
-    ready: float
-    start: float
-    finish: float
+__all__ = ["ReplayResult", "replay_plan"]
 
 
 @dataclass
@@ -88,31 +63,22 @@ class ReplayResult:
     """Outcome of one overlapped replay.
 
     Attributes:
-        tasks: committed task executions, in commit order.
+        tasks: committed task executions (with their kernel records), in
+            commit order, across all requests.
         transfers: committed link transfers, in link-service order.
         completions: per-request completion time (all model outputs
             host-resident), indexed like the ``arrivals`` argument.
     """
 
-    tasks: list[ReplayTask]
-    transfers: list[ReplayTransfer]
+    tasks: list[TaskRecord]
+    transfers: list[TransferRecord]
     completions: list[float]
-
-
-def _output_bytes(task: TaskSpec, index: int) -> float:
-    try:
-        out_id = task.module.output_ids[index]
-    except IndexError as exc:
-        raise ExecutionError(
-            f"task {task.task_id!r} has no output index {index}"
-        ) from exc
-    return float(task.module.graph.node(out_id).ty.size_bytes)
 
 
 class _Statics:
     """Plan structure shared by every request of a replay."""
 
-    def __init__(self, plan: HeteroPlan, host: str = HOST_DEVICE):
+    def __init__(self, plan: HeteroPlan, host: str):
         self.plan = plan
         self.host = host
         self.task_by_id = {t.task_id: t for t in plan.tasks}
@@ -202,27 +168,26 @@ def replay_plan(
     # (request, tensor key, dest) -> arrival time of the committed copy.
     arrived: dict[tuple[int, tuple, str], float] = {}
 
-    # Per-link pending transfers: (ready, seq, request, key, label, dest,
-    # bytes); the global ``seq`` keeps issue order comparable across links.
+    # Per-link pending transfers: (ready, seq, request, key, dest, bytes);
+    # the global ``seq`` keeps issue order comparable across links.
     pending: dict[
-        tuple[str, str], list[tuple[float, int, int, tuple, str, str, float]]
+        tuple[str, str], list[tuple[float, int, int, tuple, str, float]]
     ] = {}
     seq = 0
 
     def push_transfer(
-        ready: float, req: int, src_dev: str, key: tuple, label: str,
-        dest: str, n_bytes: float,
+        ready: float, req: int, src_dev: str, key: tuple, dest: str,
+        n_bytes: float,
     ) -> None:
         nonlocal seq
         queue = pending.setdefault(_pair(src_dev, dest), [])
-        heapq.heappush(queue, (ready, seq, req, key, label, dest, n_bytes))
+        heapq.heappush(queue, (ready, seq, req, key, dest, n_bytes))
         seq += 1
 
     for req in range(n_req):
         for ref, dest, n_bytes in statics.external:
             push_transfer(
-                float(arrivals[req]), req, host,
-                ("external", ref), f"external:{ref}", dest, n_bytes,
+                float(arrivals[req]), req, host, ("external", ref), dest, n_bytes
             )
 
     def issue_outputs(req: int, task: TaskSpec, at: float) -> None:
@@ -231,10 +196,7 @@ def replay_plan(
                 continue
             n_bytes = _output_bytes(task, idx)
             for dest in dests:
-                push_transfer(
-                    at, req, task.device,
-                    ("task", tid, idx), f"task:{tid}[{idx}]", dest, n_bytes,
-                )
+                push_transfer(at, req, task.device, ("task", tid, idx), dest, n_bytes)
 
     def task_start(req: int, task: TaskSpec) -> float | None:
         """Earliest start of the queue head, or ``None`` while blocked."""
@@ -262,8 +224,8 @@ def replay_plan(
                     start = max(start, at)
         return start
 
-    tasks_out: list[ReplayTask] = []
-    transfers_out: list[ReplayTransfer] = []
+    tasks_out: list[TaskRecord] = []
+    transfers_out: list[TransferRecord] = []
     remaining = n_req * len(plan.tasks)
 
     def pending_left() -> bool:
@@ -303,41 +265,20 @@ def replay_plan(
         start, _, _, kind, payload = best
         if kind == "xfer":
             pair = payload
-            ready, _, req, key, label, dest, n_bytes = heapq.heappop(
-                pending[pair]
-            )
-            link = machine.link(pair[0], pair[1])
-            if rng is None:
-                duration = link.transfer_time(n_bytes)
-            else:
-                duration = link.sample_transfer_time(n_bytes, rng)
+            _, _, req, key, dest, n_bytes = heapq.heappop(pending[pair])
+            duration = _transfer_time(machine.link(*pair), n_bytes, rng)
             done = start + duration
             link_free[pair] = done
             arrived[(req, key, dest)] = done
             transfers_out.append(
-                ReplayTransfer(
-                    request=req, what=label, dest_device=dest,
-                    n_bytes=n_bytes, ready=ready, start=start, finish=done,
+                TransferRecord(
+                    what=_label(key), dest_device=dest, n_bytes=n_bytes,
+                    start=start, finish=done,
                 )
             )
         else:
             req, task = payload
-            device = machine.device(task.device)
-            if rng is None:
-                times = (
-                    kernel_times.get(task.task_id)
-                    if kernel_times is not None
-                    else None
-                )
-                if times is None:
-                    times = [
-                        device.kernel_time(k.cost) for k in task.module.kernels
-                    ]
-            else:
-                times = [
-                    device.sample_kernel_time(k.cost, rng)
-                    for k in task.module.kernels
-                ]
+            times = _kernel_durations(task, machine, rng, kernel_times=kernel_times)
             done = start
             for duration in times:
                 done += duration
@@ -346,9 +287,9 @@ def replay_plan(
             finish[(req, task.task_id)] = done
             remaining -= 1
             tasks_out.append(
-                ReplayTask(
-                    request=req, task_id=task.task_id, device=task.device,
-                    start=start, finish=done, kernel_durations=tuple(times),
+                TaskRecord(
+                    task_id=task.task_id, device=task.device, start=start,
+                    finish=done, kernels=_kernel_records(task, start, times),
                 )
             )
             issue_outputs(req, task, done)

@@ -198,8 +198,8 @@ class ResilientExecutor:
     """Fault-tolerant execution of a :class:`HeteroPlan`.
 
     With a default config and no injected faults the behaviour — outputs,
-    task placements, completion semantics — is identical to
-    :class:`~repro.runtime.threaded.ThreadedExecutor`; the resilience
+    task placements, completion semantics — is identical to a plain
+    threaded :class:`~repro.runtime.core.DispatchKernel` run; the resilience
     machinery only activates when something actually goes wrong.
 
     Args:

@@ -14,22 +14,27 @@ Implements the executor semantics of paper §IV-D on a virtual clock:
 
 Two modes: ``mean`` (deterministic cost-model times — what the scheduler's
 ``measure_latency`` uses) and ``sample`` (per-kernel/per-transfer noise —
-what the tail-latency experiments use).  Optionally the kernels' NumPy
-closures actually execute, so correctness tests can compare heterogeneous
-execution bit-for-bit against the reference interpreter.
+what the tail-latency experiments use).  The virtual clock is a pure
+timing walk, written once per transfer discipline: the lazy walk here
+(scalar for one run, vectorized across runs for :func:`simulate_batch`)
+and the overlapped replay in :mod:`repro.runtime.overlap`.  When inputs
+are given, the kernels also execute numerically through the dispatch
+kernel (:class:`~repro.runtime.core.DispatchKernel`, inline workers), so
+correctness tests can compare heterogeneous execution bit-for-bit
+against the reference interpreter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.devices.machine import Machine
+from repro.devices.interconnect import Interconnect
+from repro.devices.machine import Machine, _pair
 from repro.errors import ExecutionError
-from repro.runtime.core import execute_kernels, resolve_feeds
-from repro.runtime.overlap import replay_plan
+from repro.runtime.core import DispatchKernel, InlineWorkers
 from repro.runtime.plan import HeteroPlan, Source, TaskSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -108,9 +113,81 @@ class ExecutionResult:
         return sum(t.n_bytes for t in self.transfers)
 
 
-def _pair(a: str, b: str) -> tuple[str, str]:
-    """Canonical key of the (undirected) link between two devices."""
-    return (a, b) if a <= b else (b, a)
+def _output_bytes(task: TaskSpec, index: int) -> float:
+    """Size in bytes of a task output."""
+    try:
+        out_id = task.module.output_ids[index]
+    except IndexError as exc:
+        raise ExecutionError(
+            f"task {task.task_id!r} has no output index {index}"
+        ) from exc
+    return float(task.module.graph.node(out_id).ty.size_bytes)
+
+
+def _label(key: tuple) -> str:
+    """Transfer label of a tensor key: ``external:<name>`` or
+    ``task:<id>[<output index>]``."""
+    if key[0] == "external":
+        return f"external:{key[1]}"
+    return f"task:{key[1]}[{key[2]}]"
+
+
+def _transfer_time(
+    link: Interconnect,
+    n_bytes: float,
+    rng: np.random.Generator | None,
+    n_runs: int | None = None,
+):
+    """One transfer's duration: the mean, one sample, or ``n_runs``
+    samples drawn at once."""
+    if rng is None:
+        return link.transfer_time(n_bytes)
+    if n_runs is None:
+        return link.sample_transfer_time(n_bytes, rng)
+    return link.sample_transfer_time_batch(n_bytes, rng, n_runs)
+
+
+def _kernel_durations(
+    task: TaskSpec,
+    machine: Machine,
+    rng: np.random.Generator | None,
+    n_runs: int | None = None,
+    kernel_times: Mapping[str, Sequence[float]] | None = None,
+) -> Iterable:
+    """Per-kernel durations of one task, drawn in kernel order.
+
+    Mean mode (``rng is None``) uses the precomputed ``kernel_times`` of
+    the task when given, else the cost model; sampled mode draws one
+    value per kernel, or one ``(n_runs,)`` vector per kernel.  The
+    vectors are yielded lazily, so a batch holds one kernel's draws at a
+    time rather than the whole task's.
+    """
+    device = machine.device(task.device)
+    kernels = task.module.kernels
+    if rng is None:
+        times = (
+            kernel_times.get(task.task_id) if kernel_times is not None else None
+        )
+        if times is None:
+            times = [device.kernel_time(k.cost) for k in kernels]
+        return times
+    if n_runs is None:
+        return [device.sample_kernel_time(k.cost, rng) for k in kernels]
+    return (device.sample_kernel_time_batch(k.cost, rng, n_runs) for k in kernels)
+
+
+def _kernel_records(
+    task: TaskSpec, start: float, durations: Sequence[float]
+) -> tuple[KernelRecord, ...]:
+    """Back-to-back kernel records of one task starting at ``start``."""
+    records = []
+    cursor = start
+    for kernel, duration in zip(task.module.kernels, durations):
+        records.append(
+            KernelRecord(name=kernel.name, start=cursor, finish=cursor + duration)
+        )
+        cursor += duration
+    return tuple(records)
 
 
 class _LinkTimeline:
@@ -119,12 +196,20 @@ class _LinkTimeline:
     Each device pair is one serialized FIFO resource with its own free
     cursor; on the default 2-device machine there is exactly one pair, so
     this degenerates to the historical single PCIe timeline (same event
-    order, same noise draws).
+    order, same noise draws).  With ``n_runs`` every time is an
+    ``(n_runs,)`` array and no records are kept.
     """
 
-    def __init__(self, machine: Machine, rng: np.random.Generator | None):
+    def __init__(
+        self,
+        machine: Machine,
+        rng: np.random.Generator | None,
+        n_runs: int | None = None,
+    ):
         self._machine = machine
         self._rng = rng
+        self._n_runs = n_runs
+        self._max = max if n_runs is None else np.maximum
         self._free_at: dict[tuple[str, str], float] = {}
         # (source key, device) -> arrival time of the tensor on that device
         self._arrivals: dict[tuple[tuple, str], float] = {}
@@ -133,7 +218,6 @@ class _LinkTimeline:
     def arrival(
         self,
         key: tuple,
-        label: str,
         produced_at: float,
         produced_on: str,
         dest: str,
@@ -146,36 +230,117 @@ class _LinkTimeline:
         cached = self._arrivals.get((key, dest))
         if cached is not None:
             return cached
-        link = self._machine.link(produced_on, dest)
-        if self._rng is None:
-            duration = link.transfer_time(n_bytes)
-        else:
-            duration = link.sample_transfer_time(n_bytes, self._rng)
+        duration = _transfer_time(
+            self._machine.link(produced_on, dest), n_bytes, self._rng, self._n_runs
+        )
         pair = _pair(produced_on, dest)
-        start = max(self._free_at.get(pair, 0.0), produced_at)
+        start = self._max(self._free_at.get(pair, 0.0), produced_at)
         finish = start + duration
         self._free_at[pair] = finish
         self._arrivals[(key, dest)] = finish
-        self.records.append(
-            TransferRecord(
-                what=label, dest_device=dest, n_bytes=n_bytes, start=start,
-                finish=finish,
+        if self._n_runs is None:
+            self.records.append(
+                TransferRecord(
+                    what=_label(key), dest_device=dest, n_bytes=n_bytes,
+                    start=start, finish=finish,
+                )
             )
-        )
         return finish
 
 
-def _task_output_entry(
-    task: TaskSpec, index: int
-) -> tuple[str, float]:
-    """(node id, size in bytes) of a task output."""
-    try:
-        out_id = task.module.output_ids[index]
-    except IndexError as exc:
-        raise ExecutionError(
-            f"task {task.task_id!r} has no output index {index}"
-        ) from exc
-    return out_id, float(task.module.graph.node(out_id).ty.size_bytes)
+def _lazy_walk(
+    plan: HeteroPlan,
+    machine: Machine,
+    rng: np.random.Generator | None,
+    n_runs: int | None = None,
+    *,
+    record_kernels: bool = True,
+    kernel_times: Mapping[str, Sequence[float]] | None = None,
+    injector: "FaultInjector | None" = None,
+):
+    """The lazy discipline's virtual clock, written once for both shapes.
+
+    Tasks run in plan order, each on its device's timeline; a task's
+    cross-device inputs are put on their link when the task is visited.
+    A single run keeps every time a Python float (``max``); a batch
+    (``n_runs`` given) keeps every time an ``(n_runs,)`` array
+    (``np.maximum``) and draws each event's noise as one vector, in the
+    same event order — so ``n_runs=1`` reproduces a single sampled run
+    bit for bit.
+
+    Returns ``(latency, task records, transfer records)``; a batch keeps
+    no records.
+    """
+    batch = n_runs is not None
+    vmax = np.maximum if batch else max
+    zero = np.zeros(n_runs) if batch else 0.0
+    link = _LinkTimeline(machine, rng, n_runs)
+    host = machine.host
+    device_free = {name: zero for name in machine.device_names}
+    task_finish: dict[str, float] = {}
+    task_device: dict[str, str] = {}
+    task_records: list[TaskRecord] = []
+
+    def source_arrival(task: TaskSpec, input_id: str, src: Source) -> float:
+        if src.kind == "external":
+            n_bytes = float(task.module.graph.node(input_id).ty.size_bytes)
+            # Model inputs are host-resident at time zero.
+            return link.arrival(
+                ("external", src.ref), 0.0, host, task.device, n_bytes
+            )
+        n_bytes = _output_bytes(plan.task(src.ref), src.output_index)
+        return link.arrival(
+            ("task", src.ref, src.output_index),
+            task_finish[src.ref],
+            task_device[src.ref],
+            task.device,
+            n_bytes,
+        )
+
+    for task in plan.tasks:
+        start = device_free[task.device]
+        for input_id, src in task.sources.items():
+            start = vmax(start, source_arrival(task, input_id, src))
+        if injector is not None:
+            # Stalls extend the task on the virtual clock; kernel faults
+            # and device losses raise (no retry here — the simulator is
+            # the cheap chaos probe, recovery lives in the resilient
+            # executor).
+            start += injector.on_virtual_task(task.task_id, task.device, start)
+        durations = _kernel_durations(task, machine, rng, n_runs, kernel_times)
+        finish = start
+        for duration in durations:
+            finish = finish + duration
+        device_free[task.device] = finish
+        task_finish[task.task_id] = finish
+        task_device[task.task_id] = task.device
+        if not batch:
+            task_records.append(
+                TaskRecord(
+                    task_id=task.task_id,
+                    device=task.device,
+                    start=start,
+                    finish=finish,
+                    kernels=(
+                        _kernel_records(task, start, durations)
+                        if record_kernels
+                        else ()
+                    ),
+                )
+            )
+
+    # Results must land on the host.
+    latency = zero
+    for tid, idx in plan.outputs:
+        arrival = link.arrival(
+            ("task", tid, idx),
+            task_finish[tid],
+            task_device[tid],
+            host,
+            _output_bytes(plan.task(tid), idx),
+        )
+        latency = vmax(latency, arrival)
+    return latency, task_records, link.records
 
 
 def simulate(
@@ -197,7 +362,9 @@ def simulate(
         rng: pass a generator to sample noisy latencies; ``None`` uses
             deterministic mean times.
         inputs: pass model inputs to also execute kernels numerically (the
-            result then carries ``outputs``).
+            result then carries ``outputs``).  Numerics run through the
+            dispatch kernel with inline workers, independent of the
+            virtual clock.
         record_kernels: set ``False`` to skip per-kernel timing records — a
             timing-only fast path for callers (the scheduler's latency
             oracle) that need just the end-to-end latency.
@@ -228,259 +395,32 @@ def simulate(
                 "overlap=True does not support fault injection; "
                 "use the lazy simulation for chaos probes"
             )
-        return _simulate_overlapped(
+        # Imported here: the overlap core builds on this module's records.
+        from repro.runtime.overlap import replay_plan
+
+        replay = replay_plan(
+            plan, machine, arrivals=[0.0], rng=rng, kernel_times=kernel_times
+        )
+        latency, tasks, transfers = (
+            replay.completions[0], replay.tasks, replay.transfers
+        )
+        if not record_kernels:
+            tasks = [replace(rec, kernels=()) for rec in tasks]
+    else:
+        latency, tasks, transfers = _lazy_walk(
             plan,
             machine,
             rng,
-            inputs,
             record_kernels=record_kernels,
             kernel_times=kernel_times,
+            injector=injector,
         )
-    link = _LinkTimeline(machine, rng)
-    host = machine.host
-    device_free = {name: 0.0 for name in machine.device_names}
-    task_finish: dict[str, float] = {}
-    task_device: dict[str, str] = {}
-    task_records: list[TaskRecord] = []
-    values: dict[tuple[str, int], np.ndarray] = {}
-
-    def source_arrival(task: TaskSpec, input_id: str, src: Source) -> float:
-        n_bytes = float(task.module.graph.node(input_id).ty.size_bytes)
-        if src.kind == "external":
-            return link.arrival(
-                key=("external", src.ref),
-                label=f"external:{src.ref}",
-                produced_at=0.0,
-                produced_on=host,  # host-resident
-                dest=task.device,
-                n_bytes=n_bytes,
-            )
-        producer = plan.task(src.ref)
-        _, out_bytes = _task_output_entry(producer, src.output_index)
-        return link.arrival(
-            key=("task", src.ref, src.output_index),
-            label=f"task:{src.ref}[{src.output_index}]",
-            produced_at=task_finish[src.ref],
-            produced_on=task_device[src.ref],
-            dest=task.device,
-            n_bytes=out_bytes,
-        )
-
-    for task in plan.tasks:
-        arrivals = [
-            source_arrival(task, input_id, src)
-            for input_id, src in task.sources.items()
-        ]
-        start = max([device_free[task.device], *arrivals]) if arrivals else device_free[task.device]
-        if injector is not None:
-            # Stalls extend the task on the virtual clock; kernel faults
-            # and device losses raise (no retry here — the simulator is
-            # the cheap chaos probe, recovery lives in the resilient
-            # executor).
-            start += injector.on_virtual_task(task.task_id, task.device, start)
-        device = machine.device(task.device)
-
-        kernel_records: list[KernelRecord] = []
-        cursor = start
-        feeds: dict[str, np.ndarray] | None = None
-        if inputs is not None:
-            # Numeric replay goes through the same feed-resolution helper
-            # as the unified dispatch kernel (no injector: chaos on this
-            # path is virtual-clock only, via on_virtual_task above).
-            feeds = resolve_feeds(
-                task, task.device, inputs, values, task_device
-            )
-
-        if feeds is None and rng is None:
-            # Timing-only fast path: no numeric-env bookkeeping; mean
-            # durations may come precomputed.  The per-kernel accumulation
-            # order matches the general path, so latencies are bit-identical.
-            times = (
-                kernel_times.get(task.task_id)
-                if kernel_times is not None
-                else None
-            )
-            if times is None:
-                times = [device.kernel_time(k.cost) for k in task.module.kernels]
-            if record_kernels:
-                for kernel, duration in zip(task.module.kernels, times):
-                    kernel_records.append(
-                        KernelRecord(
-                            name=kernel.name, start=cursor, finish=cursor + duration
-                        )
-                    )
-                    cursor += duration
-            else:
-                for duration in times:
-                    cursor += duration
-        else:
-            for kernel in task.module.kernels:
-                if rng is None:
-                    duration = device.kernel_time(kernel.cost)
-                else:
-                    duration = device.sample_kernel_time(kernel.cost, rng)
-                if record_kernels:
-                    kernel_records.append(
-                        KernelRecord(
-                            name=kernel.name, start=cursor, finish=cursor + duration
-                        )
-                    )
-                cursor += duration
-
-        env = execute_kernels(task, feeds) if feeds is not None else None
-        finish = cursor
-        device_free[task.device] = finish
-        task_finish[task.task_id] = finish
-        task_device[task.task_id] = task.device
-        task_records.append(
-            TaskRecord(
-                task_id=task.task_id,
-                device=task.device,
-                start=start,
-                finish=finish,
-                kernels=tuple(kernel_records),
-            )
-        )
-        if env is not None:
-            for idx, out_id in enumerate(task.module.output_ids):
-                values[(task.task_id, idx)] = env[out_id]
-
-    # Results must land on the host.
-    latency = 0.0
-    for tid, idx in plan.outputs:
-        producer = plan.task(tid)
-        _, out_bytes = _task_output_entry(producer, idx)
-        arrival = link.arrival(
-            key=("task", tid, idx),
-            label=f"task:{tid}[{idx}]",
-            produced_at=task_finish[tid],
-            produced_on=task_device[tid],
-            dest=host,
-            n_bytes=out_bytes,
-        )
-        latency = max(latency, arrival)
-
     outputs = None
     if inputs is not None:
-        outputs = [values[(tid, idx)] for tid, idx in plan.outputs]
+        outputs = DispatchKernel(plan, workers=InlineWorkers()).run(inputs).outputs
     return ExecutionResult(
-        latency=latency,
-        tasks=task_records,
-        transfers=link.records,
-        outputs=outputs,
+        latency=latency, tasks=tasks, transfers=transfers, outputs=outputs
     )
-
-
-def _simulate_overlapped(
-    plan: HeteroPlan,
-    machine: Machine,
-    rng: np.random.Generator | None,
-    inputs: Mapping[str, np.ndarray] | None,
-    *,
-    record_kernels: bool,
-    kernel_times: Mapping[str, Sequence[float]] | None,
-) -> ExecutionResult:
-    """The ``overlap=True`` arm of :func:`simulate`.
-
-    Timing comes from one single-request overlapped replay; numerics (when
-    ``inputs`` are given) from the same plan-order kernel walk as the lazy
-    path — the schedule discipline moves events on the virtual clock but
-    never changes what is computed.
-    """
-    replay = replay_plan(
-        plan, machine, arrivals=[0.0], rng=rng, kernel_times=kernel_times
-    )
-
-    task_records: list[TaskRecord] = []
-    for rt in replay.tasks:
-        task = plan.task(rt.task_id)
-        kernel_records: tuple[KernelRecord, ...] = ()
-        if record_kernels:
-            cursor = rt.start
-            recs = []
-            for kernel, duration in zip(task.module.kernels, rt.kernel_durations):
-                recs.append(
-                    KernelRecord(
-                        name=kernel.name, start=cursor, finish=cursor + duration
-                    )
-                )
-                cursor += duration
-            kernel_records = tuple(recs)
-        task_records.append(
-            TaskRecord(
-                task_id=rt.task_id,
-                device=rt.device,
-                start=rt.start,
-                finish=rt.finish,
-                kernels=kernel_records,
-            )
-        )
-    transfer_records = [
-        TransferRecord(
-            what=tr.what,
-            dest_device=tr.dest_device,
-            n_bytes=tr.n_bytes,
-            start=tr.start,
-            finish=tr.finish,
-        )
-        for tr in replay.transfers
-    ]
-
-    outputs = None
-    if inputs is not None:
-        values: dict[tuple[str, int], np.ndarray] = {}
-        task_device: dict[str, str] = {}
-        for task in plan.tasks:
-            feeds = resolve_feeds(task, task.device, inputs, values, task_device)
-            env = execute_kernels(task, feeds)
-            task_device[task.task_id] = task.device
-            for idx, out_id in enumerate(task.module.output_ids):
-                values[(task.task_id, idx)] = env[out_id]
-        outputs = [values[(tid, idx)] for tid, idx in plan.outputs]
-
-    return ExecutionResult(
-        latency=replay.completions[0],
-        tasks=task_records,
-        transfers=transfer_records,
-        outputs=outputs,
-    )
-
-
-class _BatchLinkTimeline:
-    """Vectorized serialized links: every scalar time is an (n_runs,)
-    array, with one free cursor per device pair (see :class:`_LinkTimeline`)."""
-
-    def __init__(self, machine: Machine, rng: np.random.Generator, n_runs: int):
-        self._machine = machine
-        self._rng = rng
-        self._n = n_runs
-        self._free_at: dict[tuple[str, str], np.ndarray] = {}
-        self._arrivals: dict[tuple[tuple, str], np.ndarray] = {}
-
-    def arrival(
-        self,
-        key: tuple,
-        produced_at: np.ndarray | float,
-        produced_on: str,
-        dest: str,
-        n_bytes: float,
-    ) -> np.ndarray | float:
-        if produced_on == dest:
-            return produced_at
-        cached = self._arrivals.get((key, dest))
-        if cached is not None:
-            return cached
-        link = self._machine.link(produced_on, dest)
-        duration = link.sample_transfer_time_batch(n_bytes, self._rng, self._n)
-        pair = _pair(produced_on, dest)
-        free_at = self._free_at.get(pair)
-        if free_at is None:
-            free_at = np.zeros(self._n)
-        start = np.maximum(free_at, produced_at)
-        finish = start + duration
-        self._free_at[pair] = finish
-        self._arrivals[(key, dest)] = finish
-        return finish
 
 
 def simulate_batch(
@@ -491,12 +431,11 @@ def simulate_batch(
 ) -> np.ndarray:
     """``n_runs`` sampled end-to-end latencies of ``plan`` in one pass.
 
-    Vectorizes the discrete-event simulation over runs: the sequence of
-    noise events (which kernel / which transfer, in which order) is fixed
-    by the plan's structure, so every scalar quantity of :func:`simulate`
-    — device cursors, link free time, task finishes — becomes an
-    ``(n_runs,)`` array and per-event noise is drawn as one batched NumPy
-    call instead of ``n_runs`` sequential simulator walks.
+    The lazy walk of :func:`simulate` with every time an ``(n_runs,)``
+    array: the sequence of noise events (which kernel / which transfer,
+    in which order) is fixed by the plan's structure, so per-event noise
+    is drawn as one batched NumPy call instead of ``n_runs`` sequential
+    simulator walks.
 
     Draw-order convention: noise is drawn event-major (for each event, a
     vector across runs) in the same event order :func:`simulate` uses, so
@@ -506,60 +445,5 @@ def simulate_batch(
     """
     if n_runs <= 0:
         raise ExecutionError(f"n_runs must be positive, got {n_runs}")
-    link = _BatchLinkTimeline(machine, rng, n_runs)
-    host = machine.host
-    zeros = np.zeros(n_runs)
-    device_free: dict[str, np.ndarray] = {
-        name: zeros for name in machine.device_names
-    }
-    task_finish: dict[str, np.ndarray] = {}
-    task_device: dict[str, str] = {}
-
-    def source_arrival(task: TaskSpec, input_id: str, src: Source):
-        n_bytes = float(task.module.graph.node(input_id).ty.size_bytes)
-        if src.kind == "external":
-            return link.arrival(
-                key=("external", src.ref),
-                produced_at=0.0,
-                produced_on=host,  # host-resident
-                dest=task.device,
-                n_bytes=n_bytes,
-            )
-        producer = plan.task(src.ref)
-        _, out_bytes = _task_output_entry(producer, src.output_index)
-        return link.arrival(
-            key=("task", src.ref, src.output_index),
-            produced_at=task_finish[src.ref],
-            produced_on=task_device[src.ref],
-            dest=task.device,
-            n_bytes=out_bytes,
-        )
-
-    for task in plan.tasks:
-        start = device_free[task.device]
-        for input_id, src in task.sources.items():
-            start = np.maximum(start, source_arrival(task, input_id, src))
-        device = machine.device(task.device)
-        cursor = start
-        for kernel in task.module.kernels:
-            cursor = cursor + device.sample_kernel_time_batch(
-                kernel.cost, rng, n_runs
-            )
-        device_free[task.device] = cursor
-        task_finish[task.task_id] = cursor
-        task_device[task.task_id] = task.device
-
-    # Results must land on the host.
-    latency = np.zeros(n_runs)
-    for tid, idx in plan.outputs:
-        producer = plan.task(tid)
-        _, out_bytes = _task_output_entry(producer, idx)
-        arrival = link.arrival(
-            key=("task", tid, idx),
-            produced_at=task_finish[tid],
-            produced_on=task_device[tid],
-            dest=host,
-            n_bytes=out_bytes,
-        )
-        latency = np.maximum(latency, arrival)
+    latency, _, _ = _lazy_walk(plan, machine, rng, n_runs)
     return latency

@@ -11,45 +11,16 @@ it numerically.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from repro.compiler.lowering import CompiledModule
 from repro.devices.machine import Machine
-from repro.runtime.core import DispatchKernel, InlineWorkers
 from repro.runtime.plan import HeteroPlan, Source, TaskSpec
 from repro.runtime.simulator import ExecutionResult, simulate
 
-__all__ = ["SingleDeviceResult", "single_device_plan", "run_single_device"]
-
-
-@dataclass
-class SingleDeviceResult(ExecutionResult):
-    """Outcome of one single-device inference.
-
-    Extends the simulator's :class:`~repro.runtime.simulator.
-    ExecutionResult` (virtual ``latency``, task/transfer records, and
-    ``outputs`` when inputs were supplied) with the host ``wall_time_s``
-    the other executors' results carry
-    (:class:`~repro.runtime.threaded.ThreadedResult`,
-    :class:`~repro.runtime.resilient.ExecutionReport`).
-
-    Dict-style access (``result["latency"]``) was deprecated for one
-    cycle and has been removed; use attribute access.
-    """
-
-    wall_time_s: float = 0.0
-
-    def __getitem__(self, key: str):
-        """Removed dict-style field access; raises a directing TypeError."""
-        raise TypeError(
-            "dict-style access to run_single_device results was removed "
-            "after its deprecation cycle; use the "
-            f".{key} attribute instead of [{key!r}]"
-        )
+__all__ = ["single_device_plan", "run_single_device"]
 
 
 def single_device_plan(module: CompiledModule, device: str) -> HeteroPlan:
@@ -73,25 +44,18 @@ def run_single_device(
     rng: np.random.Generator | None = None,
     inputs: Mapping[str, np.ndarray] | None = None,
     overlap: bool = False,
-) -> SingleDeviceResult:
+) -> ExecutionResult:
     """One inference of ``module`` entirely on ``device``.
 
-    Timing comes from the discrete-event simulator (``overlap`` selects
-    the lazy vs. double-buffered transfer discipline); when ``inputs`` are
-    given the kernels also execute numerically through the unified
-    dispatch kernel (inline worker strategy), so the returned ``outputs``
-    go through exactly the same code path as every other executor.
+    Simulates the one-task plan (``overlap`` selects the lazy vs.
+    double-buffered transfer discipline); when ``inputs`` are given the
+    kernels also execute numerically through the unified dispatch kernel
+    (inline worker strategy), exactly like every other executor.
     """
-    began = time.perf_counter()
-    plan = single_device_plan(module, device)
-    sim = simulate(plan, machine, rng=rng, overlap=overlap)
-    outputs = None
-    if inputs is not None:
-        outputs = DispatchKernel(plan, workers=InlineWorkers()).run(inputs).outputs
-    return SingleDeviceResult(
-        latency=sim.latency,
-        tasks=sim.tasks,
-        transfers=sim.transfers,
-        outputs=outputs,
-        wall_time_s=time.perf_counter() - began,
+    return simulate(
+        single_device_plan(module, device),
+        machine,
+        rng=rng,
+        inputs=inputs,
+        overlap=overlap,
     )

@@ -12,8 +12,9 @@ execution path and demanding exact agreement:
   must linearize the task DAG) — under both the lazy and the
   double-buffered ``overlap=True`` transfer disciplines, which must be
   bit-identical (overlap changes the virtual clock, never the data);
-* the :class:`~repro.runtime.threaded.ThreadedExecutor` (real threads),
-  with and without the prefetching transfer worker;
+* the :class:`~repro.runtime.core.DispatchKernel` under real worker
+  threads (:class:`~repro.runtime.core.ThreadedWorkers`), with and
+  without the prefetching transfer worker;
 * the :class:`~repro.runtime.resilient.ResilientExecutor` with no faults
   injected (the recovery machinery must be a no-op on healthy runs);
 * the unified :class:`~repro.runtime.core.DispatchKernel` driven
@@ -66,12 +67,16 @@ from repro.devices.machine import Machine, default_machine
 from repro.errors import ReproError
 from repro.ir.graph import Graph
 from repro.ir.interpreter import make_inputs, run_graph
-from repro.runtime.core import DispatchKernel, InlineWorkers, PhaseCheckpoint
+from repro.runtime.core import (
+    DispatchKernel,
+    InlineWorkers,
+    PhaseCheckpoint,
+    ThreadedWorkers,
+)
 from repro.runtime.memory import TensorArena
 from repro.runtime.resilient import ResilientExecutor
 from repro.runtime.simulator import simulate
 from repro.runtime.single import run_single_device
-from repro.runtime.threaded import ThreadedExecutor
 from repro.testing.invariants import (
     check_execution,
     check_placement,
@@ -320,7 +325,7 @@ def run_differential(
 
         module = native_compiler.compile(graph, device_target(host_dev))
         plan = single_device_plan(module, host_dev.name)
-        result = ThreadedExecutor(plan).run(feeds)
+        result = DispatchKernel(plan, workers=ThreadedWorkers()).run(feeds)
         outcome.outputs = result.outputs
         report.divergences += _compare(
             outcome.name, result.outputs, ref, _module_budget(module)
@@ -429,7 +434,9 @@ def run_differential(
                     )
 
         def run_threaded(outcome, plan=plan, overlap=False, plan_budget=plan_budget):
-            result = ThreadedExecutor(plan, overlap=overlap).run(feeds)
+            result = DispatchKernel(
+                plan, workers=ThreadedWorkers(), overlap=overlap
+            ).run(feeds)
             outcome.outputs = result.outputs
             outcome.task_order = result.task_order
             report.divergences += _compare(

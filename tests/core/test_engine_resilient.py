@@ -11,7 +11,12 @@ from repro.core.engine import DuetOptimization
 from repro.errors import ProfilingError
 from repro.ir import make_inputs, run_graph
 from repro.models import build_model
-from repro.runtime import ResilienceConfig, RetryPolicy, ThreadedExecutor
+from repro.runtime import (
+    DispatchKernel,
+    ResilienceConfig,
+    RetryPolicy,
+    ThreadedWorkers,
+)
 from repro.runtime.faults import DeviceLoss, FaultInjector, FaultPlan, KernelFault
 
 
@@ -33,7 +38,7 @@ class TestRunResilient:
     def test_no_fault_matches_threaded_path(self, optimized):
         engine, graph, opt = optimized
         feeds = make_inputs(graph)
-        baseline = ThreadedExecutor(opt.plan).run(feeds)
+        baseline = DispatchKernel(opt.plan, workers=ThreadedWorkers()).run(feeds)
         report = engine.run_resilient(opt, feeds)
         assert report.completed
         for got, want in zip(report.outputs, baseline.outputs):

@@ -52,16 +52,6 @@ class TestMesh:
         with pytest.raises(DeviceError):
             mesh.peers("tpu")
 
-    def test_other_deprecated_but_works_on_pair(self, machine):
-        with pytest.warns(DeprecationWarning, match="peers"):
-            assert machine.other("cpu") == "gpu"
-
-    def test_other_ambiguous_on_mesh(self):
-        mesh = make_mesh(num_gpus=2)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(DeviceError, match="ambiguous"):
-                mesh.other("cpu")
-
     def test_heterogeneous_slowdowns(self):
         mesh = make_mesh(num_gpus=2, noisy=False, gpu_slowdowns=(1.0, 2.0))
         fast = mesh.device("gpu0").spec

@@ -14,7 +14,7 @@ from repro.core import DuetEngine
 from repro.ir.interpreter import make_inputs, run_graph
 from repro.models import MODEL_NAMES, build_model
 from repro.runtime.resilient import ResilientExecutor
-from repro.runtime.threaded import ThreadedExecutor
+from repro.runtime.core import DispatchKernel, ThreadedWorkers
 
 
 def _assert_identical(name, got, ref):
@@ -34,7 +34,7 @@ def test_zoo_model_bit_identity(model_name, machine):
 
     plan = DuetEngine(machine=machine).optimize(graph).plan
 
-    threaded = ThreadedExecutor(plan).run(feeds)
+    threaded = DispatchKernel(plan, workers=ThreadedWorkers()).run(feeds)
     _assert_identical(f"{model_name}/threaded", threaded.outputs, ref)
 
     resilient = ResilientExecutor(plan).run(feeds)

@@ -2,7 +2,7 @@
 
 Covers the shared discrete-event core (:mod:`repro.runtime.overlap`),
 ``simulate(..., overlap=True)``, the prefetching transfer worker of the
-threaded executor, and the bit-identity guarantee: overlap changes the
+threaded dispatch kernel, and the bit-identity guarantee: overlap changes the
 virtual clock, never the data.
 """
 
@@ -15,7 +15,7 @@ from repro.runtime import Source, simulate
 from repro.runtime.faults import FaultInjector, FaultPlan, TransferFault
 from repro.runtime.overlap import replay_plan
 from repro.runtime.plan import HeteroPlan
-from repro.runtime.threaded import ThreadedExecutor
+from repro.runtime.core import DispatchKernel, ThreadedWorkers
 
 from .test_simulator import _dense_graph, _ext, _task
 
@@ -118,8 +118,10 @@ class TestBitIdentity:
             .standard_normal((1, 256 * 1024))
             .astype(np.float32),
         }
-        plain = ThreadedExecutor(plan).run(feeds)
-        prefetched = ThreadedExecutor(plan, overlap=True).run(feeds)
+        plain = DispatchKernel(plan, workers=ThreadedWorkers()).run(feeds)
+        prefetched = DispatchKernel(
+            plan, workers=ThreadedWorkers(), overlap=True
+        ).run(feeds)
         for a, b in zip(plain.outputs, prefetched.outputs):
             assert np.array_equal(a, b)
         # Placement is still honored by the prefetching configuration.

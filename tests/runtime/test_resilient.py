@@ -8,7 +8,7 @@ from repro.errors import (
     DeviceLostError,
     ExecutionError,
 )
-from repro.runtime import ThreadedExecutor, single_device_plan
+from repro.runtime import DispatchKernel, ThreadedWorkers, single_device_plan
 from repro.runtime.faults import (
     DeviceLoss,
     FaultInjector,
@@ -60,7 +60,7 @@ class TestNoFaultEquivalence:
 
     def test_outputs_and_placement_identical(self, siamese_mixed):
         plan, _, feeds, _ = siamese_mixed
-        baseline = ThreadedExecutor(plan).run(feeds)
+        baseline = DispatchKernel(plan, workers=ThreadedWorkers()).run(feeds)
         report = ResilientExecutor(
             plan, fault_injector=FaultInjector(FaultPlan())
         ).run(feeds)

@@ -1,4 +1,6 @@
-"""Tests for the real-concurrency threaded executor."""
+"""Tests for the real-concurrency threaded executor: the dispatch kernel
+with one worker thread per device and the default abort-on-failure
+policy."""
 
 import dataclasses
 import threading
@@ -19,7 +21,7 @@ from repro.runtime.faults import (
     KernelFault,
 )
 from repro.runtime.plan import HeteroPlan
-from repro.runtime.threaded import ThreadedExecutor
+from repro.runtime.core import DispatchKernel, ThreadedWorkers
 
 
 @pytest.fixture(params=["wide_deep", "siamese", "mtdnn"])
@@ -49,7 +51,7 @@ class TestThreadedExecutor:
     def test_outputs_match_interpreter(self, plan_and_graph):
         plan, graph = plan_and_graph
         feeds = make_inputs(graph)
-        result = ThreadedExecutor(plan).run(feeds)
+        result = DispatchKernel(plan, workers=ThreadedWorkers()).run(feeds)
         ref = run_graph(graph, feeds)
         assert len(result.outputs) == len(ref)
         for got, want in zip(result.outputs, ref):
@@ -57,13 +59,13 @@ class TestThreadedExecutor:
 
     def test_tasks_run_on_assigned_worker(self, plan_and_graph):
         plan, graph = plan_and_graph
-        result = ThreadedExecutor(plan).run(make_inputs(graph))
+        result = DispatchKernel(plan, workers=ThreadedWorkers()).run(make_inputs(graph))
         for task in plan.tasks:
             assert result.task_worker[task.task_id] == task.device
 
     def test_completion_order_respects_dependencies(self, plan_and_graph):
         plan, graph = plan_and_graph
-        result = ThreadedExecutor(plan).run(make_inputs(graph))
+        result = DispatchKernel(plan, workers=ThreadedWorkers()).run(make_inputs(graph))
         position = {tid: i for i, tid in enumerate(result.task_order)}
         for task in plan.tasks:
             for src in task.sources.values():
@@ -72,14 +74,14 @@ class TestThreadedExecutor:
 
     def test_all_tasks_complete(self, plan_and_graph):
         plan, graph = plan_and_graph
-        result = ThreadedExecutor(plan).run(make_inputs(graph))
+        result = DispatchKernel(plan, workers=ThreadedWorkers()).run(make_inputs(graph))
         assert len(result.task_order) == len(plan.tasks)
         assert result.wall_time_s > 0
 
     def test_missing_input_propagates(self, plan_and_graph):
         plan, _ = plan_and_graph
         with pytest.raises(ExecutionError):
-            ThreadedExecutor(plan).run({})
+            DispatchKernel(plan, workers=ThreadedWorkers()).run({})
 
     def test_failed_task_drains_queued_work(self, machine):
         """On error, already-queued tasks are drained, not executed."""
@@ -111,7 +113,7 @@ class TestThreadedExecutor:
             outputs=[("sleeper", 0)],
         )
         with pytest.raises(ExecutionError, match="kernel exploded"):
-            ThreadedExecutor(crafted).run(make_inputs(graph))
+            DispatchKernel(crafted, workers=ThreadedWorkers()).run(make_inputs(graph))
         assert ran == []
 
     def test_stuck_worker_named_in_error(self, machine):
@@ -138,7 +140,9 @@ class TestThreadedExecutor:
             outputs=[("wedged", 0)],
         )
         with pytest.raises(ExecutionError, match=r"gpu.*wedged") as excinfo:
-            ThreadedExecutor(crafted, join_timeout=0.05).run(make_inputs(graph))
+            DispatchKernel(
+                crafted, workers=ThreadedWorkers(join_timeout=0.05)
+            ).run(make_inputs(graph))
         assert "kernel exploded" in str(excinfo.value)
 
     def test_multiple_worker_failures_all_surfaced(self, machine):
@@ -170,7 +174,7 @@ class TestThreadedExecutor:
             outputs=[("late_failer", 0)],
         )
         with pytest.raises(ExecutionError) as excinfo:
-            ThreadedExecutor(crafted).run(make_inputs(graph))
+            DispatchKernel(crafted, workers=ThreadedWorkers()).run(make_inputs(graph))
         message = str(excinfo.value)
         assert "boom-cpu" in message
         assert "boom-gpu" in message
@@ -186,8 +190,8 @@ class TestThreadedExecutor:
                      for i, sg in enumerate(partition.subgraphs)}
         plan = build_hetero_plan(graph, partition, profiles, placement)
         feeds = make_inputs(graph)
-        a = ThreadedExecutor(plan).run(feeds)
-        b = ThreadedExecutor(plan).run(feeds)
+        a = DispatchKernel(plan, workers=ThreadedWorkers()).run(feeds)
+        b = DispatchKernel(plan, workers=ThreadedWorkers()).run(feeds)
         for x, y in zip(a.outputs, b.outputs):
             np.testing.assert_array_equal(x, y)
 
@@ -203,7 +207,9 @@ class TestThreadedFaultInjection:
             FaultPlan(kernel_faults=(KernelFault(mid, fail_attempts=1),))
         )
         with pytest.raises(ExecutionError, match="injected transient"):
-            ThreadedExecutor(plan, fault_injector=injector).run(feeds)
+            DispatchKernel(
+                plan, workers=ThreadedWorkers(), fault_injector=injector
+            ).run(feeds)
         assert isinstance(injector, FaultInjector)
 
     def test_mid_graph_fault_is_deterministic(self, siamese_mixed):
@@ -214,7 +220,9 @@ class TestThreadedFaultInjection:
                 FaultPlan(kernel_faults=(KernelFault(mid, fail_attempts=1),))
             )
             with pytest.raises(ExecutionError) as excinfo:
-                ThreadedExecutor(plan, fault_injector=injector).run(feeds)
+                DispatchKernel(
+                    plan, workers=ThreadedWorkers(), fault_injector=injector
+                ).run(feeds)
             assert isinstance(excinfo.value.__cause__, TransientKernelError)
             assert mid in str(excinfo.value)
 
@@ -233,7 +241,9 @@ class TestThreadedFaultInjection:
             )
         )
         with pytest.raises(ExecutionError) as excinfo:
-            ThreadedExecutor(plan, fault_injector=injector).run(feeds)
+            DispatchKernel(
+                plan, workers=ThreadedWorkers(), fault_injector=injector
+            ).run(feeds)
         # Both roots start immediately on their own workers, so both
         # injected faults fire and both appear in the message.
         message = str(excinfo.value)
@@ -266,9 +276,9 @@ class TestThreadedFaultInjection:
             FaultPlan(kernel_faults=(KernelFault("failer", fail_attempts=1),))
         )
         with pytest.raises(ExecutionError, match="injected transient"):
-            ThreadedExecutor(crafted, fault_injector=injector).run(
-                make_inputs(graph)
-            )
+            DispatchKernel(
+                crafted, workers=ThreadedWorkers(), fault_injector=injector
+            ).run(make_inputs(graph))
         assert ran == []
 
     def test_device_loss_aborts_plain_executor(self, siamese_mixed):
@@ -278,4 +288,6 @@ class TestThreadedFaultInjection:
             FaultPlan(device_losses=(DeviceLoss("gpu", at_task=gpu_tasks[0]),))
         )
         with pytest.raises(ExecutionError, match="was lost"):
-            ThreadedExecutor(plan, fault_injector=injector).run(feeds)
+            DispatchKernel(
+                plan, workers=ThreadedWorkers(), fault_injector=injector
+            ).run(feeds)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -95,6 +97,19 @@ class TestCLI:
         written = artifact.read_text(encoding="utf-8")
         for phase in ("baseline", "transient", "stall", "outage", "recovery"):
             assert phase in written
+
+    def test_serve_smoke(self, capsys):
+        assert main(["serve", "mtdnn", "--tiny", "--requests", "8"]) == 0
+        out = capsys.readouterr().out
+        assert "serving mtdnn: batching on" in out
+        lines = out.splitlines()
+        assert re.fullmatch(
+            r"8 requests, \d+ clients: \d+ req/s \(0 errors\)", lines[1]
+        )
+        assert re.fullmatch(
+            r"latency p50 [\d.]+ ms  p95 [\d.]+ ms  p99 [\d.]+ ms", lines[2]
+        )
+        assert re.fullmatch(r"batches executed: [1-8]", lines[3])
 
 
 class TestCLIProfileCache:

@@ -126,9 +126,9 @@ class TestPlanChecks:
 class TestTaskOrderChecks:
     def test_executor_orders_pass(self, pipeline, machine_module):
         graph, *_ , plan = pipeline
-        from repro.runtime.threaded import ThreadedExecutor
+        from repro.runtime.core import DispatchKernel, ThreadedWorkers
 
-        result = ThreadedExecutor(plan).run(make_inputs(graph))
+        result = DispatchKernel(plan, workers=ThreadedWorkers()).run(make_inputs(graph))
         assert check_task_order(plan, result.task_order) == []
 
     def test_dependency_inversion_caught(self, pipeline):
